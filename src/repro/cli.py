@@ -41,7 +41,7 @@ COMMANDS: Dict[str, str] = {
     "faults": "inject NIC/link/node faults, report the degraded iteration",
     "profile": "full telemetry report for one simulated iteration",
     "validate": "metamorphic conformance sweep over seeded scenarios",
-    "bench": "executor benchmarks: sweep timings, microbench, CI gate",
+    "bench": "simulator benchmarks: microbench, sweep, TFLOPS, CI gate",
     "tail": "progress of a running or finished sweep (journal/event log)",
     "runs": "list recorded sweep/bench/validate runs from the run ledger",
     "report": "cross-run BENCH trend table with a regression soft gate",
@@ -691,9 +691,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Measure the batch executor (serial / parallel / cached sweep and the
-    DES microbenchmarks), optionally writing a ``BENCH_<date>.json``
-    document and gating against a committed reference."""
+    """Measure the simulator (DES microbenchmarks, serial / parallel /
+    cached sweep, the Table 1 TFLOPS trio, and the fidelity / plan / serve
+    points), optionally writing a ``BENCH_<date>.json`` document and
+    gating against a committed reference."""
     import json
     import time as _time
 
@@ -765,13 +766,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.check:
         with open(args.check) as fh:
             reference = json.load(fh)
-        failures = check_bench(doc, reference, tolerance=args.tolerance)
-        if failures:
-            print(f"\nregression gate vs {args.check}: FAIL", file=sys.stderr)
-            for line in failures:
-                print(f"  {line}", file=sys.stderr)
+        verdicts = check_bench(doc, reference, tolerance=args.tolerance)
+        print(f"\nregression gate vs {args.check}:")
+        for verdict in verdicts:
+            print(f"  {verdict}")
+        failed = [v.gate for v in verdicts if not v.ok]
+        if failed:
+            print(f"regression gate: FAIL ({', '.join(failed)})",
+                  file=sys.stderr)
             return 1
-        print(f"\nregression gate vs {args.check}: pass")
+        print("regression gate: pass")
     if not identical:
         return 1
     return 0
@@ -1286,9 +1290,10 @@ def make_parser() -> argparse.ArgumentParser:
                    help="microbenchmark repeats, best-of (default 3)")
     p.add_argument("--fast", action="store_true",
                    help="4-cell sweep instead of the 48-cell Table 3 grid "
-                        "(the CI bench-fast configuration)")
+                        "(the CI bench configuration)")
     p.add_argument("--micro-only", action="store_true",
-                   help="run only the microbenchmark suite")
+                   help="run only the microbenchmark suite (no sweep, "
+                        "Table 1 cases, fidelity, plan or serve points)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                    help="per-cell wall-clock timeout: a hung cell is "
                         "killed, retried, and at worst quarantined instead "

@@ -611,6 +611,12 @@ def _pool_map(fn, queue, jobs, policy, stats, record_success, record_failure,
             flight.emit("worker-respawn", worker=replacement.proc.pid)
         return replacement
 
+    def replace_dead(worker: _Worker) -> _Worker:
+        worker.kill()
+        stats["worker_crashes"] += 1
+        _inc("exec_worker_crashes_total")
+        return respawn(worker)
+
     def requeue_or_fail(task: _Task, kind: str, message: str) -> None:
         task.attempts += 1
         if task.attempts <= policy.retries:
@@ -644,17 +650,13 @@ def _pool_map(fn, queue, jobs, policy, stats, record_success, record_failure,
                 if worker.task is not None or not queue:
                     continue
                 task = queue.popleft()
-                try:
-                    worker.conn.send((task.index, fn, task.item, task.key))
-                except (BrokenPipeError, OSError):
-                    # worker died while idle: replace it and try once more
-                    worker.kill()
-                    stats["worker_crashes"] += 1
-                    _inc("exec_worker_crashes_total")
-                    worker = respawn(worker)
-                    worker.conn.send((task.index, fn, task.item, task.key))
-                worker.task = task
+                if not worker.proc.is_alive():
+                    # died while idle: replace it first, so the dispatch
+                    # event below names the pid that actually gets the task
+                    worker = replace_dead(worker)
                 task.dispatched = time.monotonic()
+                # narrate the dispatch before the send: once the task is
+                # sent, the worker's own "scenario-started" may land first
                 if flight is not None:
                     flight.emit(
                         "scenario-dispatched",
@@ -663,6 +665,15 @@ def _pool_map(fn, queue, jobs, policy, stats, record_success, record_failure,
                         attempt=task.attempts + 1,
                         worker=worker.proc.pid,
                     )
+                try:
+                    worker.conn.send((task.index, fn, task.item, task.key))
+                except (BrokenPipeError, OSError):
+                    # died between the liveness probe and the send: replace
+                    # it and try once more (the respawn event that follows
+                    # the dispatch names the pid that got the task)
+                    worker = replace_dead(worker)
+                    worker.conn.send((task.index, fn, task.item, task.key))
+                worker.task = task
                 worker.deadline = (
                     now + policy.timeout if policy.timeout is not None else math.inf
                 )

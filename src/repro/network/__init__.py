@@ -9,7 +9,7 @@ transfers with an alpha-beta cost model that includes per-NIC contention.
 
 from repro.network.transport import Transport, TransportKind, resolve_transport
 from repro.network.costmodel import CostModelConfig, CollectiveCostModel
-from repro.network.contention import concurrent_groups_per_nic, group_node_span
+from repro.network.contention import group_node_span
 from repro.network.fabric import Fabric
 from repro.network.health import FabricHealth, FaultStats, NicHealth
 from repro.network.reliability import (
@@ -26,7 +26,6 @@ __all__ = [
     "resolve_transport",
     "CostModelConfig",
     "CollectiveCostModel",
-    "concurrent_groups_per_nic",
     "group_node_span",
     "Fabric",
     "FabricHealth",

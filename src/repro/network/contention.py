@@ -13,9 +13,10 @@ Two distinct sharing effects matter in the paper's workloads:
    (e.g. parameter groups 7/8 with t=8), all ``t`` rings cross that node's
    NIC at once and fair-share its bandwidth.
 
-This module computes effect 2: for a set of groups assumed active
-concurrently, the worst-case number of inter-node rings sharing any NIC a
-given group touches.
+The executed tier models effect 2 directly: concurrent rings queue through
+the same capacity-1 NIC resources.  This module holds the rank-group span
+helpers and :class:`FidelityPolicy`, which decides where no such sharing
+occurs and the closed form is therefore exact.
 """
 
 from __future__ import annotations
@@ -46,42 +47,6 @@ def group_node_span(topology: ClusterTopology, ranks: Sequence[int]) -> int:
 def group_cluster_span(topology: ClusterTopology, ranks: Sequence[int]) -> int:
     """Number of distinct clusters a rank group touches."""
     return len({topology.device(r).cluster_id for r in ranks})
-
-
-def concurrent_groups_per_nic(
-    topology: ClusterTopology, groups: Sequence[Sequence[int]]
-) -> Dict[int, int]:
-    """For each group index, the max number of concurrently active inter-node
-    rings sharing any NIC the group uses.
-
-    A group confined to a single node uses no NIC and gets factor 1.
-    """
-    # Which multi-node groups touch each node?
-    node_ring_count: Dict[int, int] = defaultdict(int)
-    spans: List[Set[int]] = []
-    for ranks in groups:
-        nodes = {topology.device(r).node_global for r in ranks}
-        spans.append(nodes)
-        if len(nodes) > 1:
-            for node in nodes:
-                node_ring_count[node] += 1
-
-    factors: Dict[int, int] = {}
-    for idx, nodes in enumerate(spans):
-        if len(nodes) <= 1:
-            factors[idx] = 1
-        else:
-            factors[idx] = max(node_ring_count[node] for node in nodes)
-    return factors
-
-
-def uniform_concurrency(
-    topology: ClusterTopology, groups: Sequence[Sequence[int]]
-) -> int:
-    """The worst-case concurrency factor across all groups (a single scalar
-    usable when all groups share identical layout, as in Megatron grids)."""
-    factors = concurrent_groups_per_nic(topology, groups)
-    return max(factors.values()) if factors else 1
 
 
 # --------------------------------------------------------------------- #

@@ -14,7 +14,7 @@ you *why*.  Three pillars:
   time, exportable as Chrome-trace counter tracks.
 
 :mod:`repro.obs.report` assembles all three into the self-contained profile
-report emitted by ``repro profile`` and ``benchmarks/emit_bench.py``.
+report emitted by ``repro profile`` and embedded per case by ``repro bench``.
 
 Two campaign-level pillars (PR 7) look *across* iterations and runs:
 

@@ -10,9 +10,8 @@ this module remembers *every* campaign:
   append and corrupt-line-tolerant read discipline as the sweep journal,
   and backs the ``repro runs`` CLI.
 - **BENCH trend** — :func:`load_bench_history` / :func:`bench_trend` read
-  every committed ``results/BENCH_*.json`` document (both the executor
-  schema ``repro.bench/v1`` and the telemetry schema
-  ``repro.obs.bench/v1``), line the headline series up by date, and
+  every committed ``results/BENCH_*.json`` document (``repro.bench/v1``,
+  written by ``repro bench``), line the headline series up by date, and
   :func:`render_trend` / :func:`trend_regressions` turn them into the
   ``repro report --trend`` view and its CI soft gate.  Direction matters:
   normalized costs regress *upward*, TFLOPS regress *downward*.
@@ -30,9 +29,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 #: Ledger record format tag; bump on layout changes (old lines are skipped).
 SCHEMA = "repro.obs.ledger/v1"
 
-#: BENCH document schemas the trend view understands.
-BENCH_EXEC_SCHEMA = "repro.bench/v1"
-BENCH_OBS_SCHEMA = "repro.obs.bench/v1"
+#: The BENCH document schema the trend view reads.
+BENCH_SCHEMA = "repro.bench/v1"
 
 #: Sparkline glyphs, low to high.
 _SPARKS = "▁▂▃▄▅▆▇█"
@@ -233,48 +231,39 @@ def load_bench_history(
             doc = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
             continue
-        if isinstance(doc, dict) and doc.get("schema") in (
-            BENCH_EXEC_SCHEMA,
-            BENCH_OBS_SCHEMA,
-        ):
+        if isinstance(doc, dict) and doc.get("schema") == BENCH_SCHEMA:
             docs.append((path.name, doc))
     docs.sort(key=lambda item: (str(item[1].get("date", "")), item[0]))
     return docs
 
 
 def _doc_series(doc: Mapping[str, object]) -> Dict[str, Tuple[float, bool]]:
-    """name -> (value, higher_is_better) for one document's headlines."""
+    """name -> (value, higher_is_better) for one document's headlines.
+    The sweep cost is keyed by the sweep's name (``table3``,
+    ``table3-fast``, ...): a per-cell cost only compares over one grid."""
     out: Dict[str, Tuple[float, bool]] = {}
-    schema = doc.get("schema")
-    if schema == BENCH_EXEC_SCHEMA:
-        sweep = doc.get("sweep")
-        if isinstance(sweep, Mapping):
-            cost = sweep.get("normalized_cell_cost")
-            if isinstance(cost, (int, float)):
-                out["sweep.normalized_cell_cost"] = (float(cost), False)
-        micro = doc.get("microbench")
-        if isinstance(micro, Mapping):
-            benches = micro.get("benchmarks", {})
-            if isinstance(benches, Mapping):
-                for name, bench in benches.items():
-                    if isinstance(bench, Mapping) and isinstance(
-                        bench.get("normalized"), (int, float)
-                    ):
-                        out[f"micro.{name}"] = (
-                            float(bench["normalized"]),
-                            False,
-                        )
-    elif schema == BENCH_OBS_SCHEMA:
-        cases = doc.get("cases")
-        if isinstance(cases, Mapping):
-            for name, case in cases.items():
-                if isinstance(case, Mapping) and isinstance(
-                    case.get("tflops_per_gpu"), (int, float)
+    sweep = doc.get("sweep")
+    if isinstance(sweep, Mapping):
+        cost = sweep.get("normalized_cell_cost")
+        if isinstance(cost, (int, float)):
+            grid = f"[{sweep['name']}]" if sweep.get("name") else ""
+            out[f"sweep.normalized_cell_cost{grid}"] = (float(cost), False)
+    micro = doc.get("microbench")
+    if isinstance(micro, Mapping):
+        benches = micro.get("benchmarks", {})
+        if isinstance(benches, Mapping):
+            for name, bench in benches.items():
+                if isinstance(bench, Mapping) and isinstance(
+                    bench.get("normalized"), (int, float)
                 ):
-                    out[f"tflops.{name}"] = (
-                        float(case["tflops_per_gpu"]),
-                        True,
-                    )
+                    out[f"micro.{name}"] = (float(bench["normalized"]), False)
+    cases = doc.get("cases")
+    if isinstance(cases, Mapping):
+        for name, case in cases.items():
+            if isinstance(case, Mapping) and isinstance(
+                case.get("tflops_per_gpu"), (int, float)
+            ):
+                out[f"tflops.{name}"] = (float(case["tflops_per_gpu"]), True)
     return out
 
 
@@ -355,8 +344,7 @@ def render_trend(trend: Sequence[TrendSeries]) -> str:
 
 
 __all__ = [
-    "BENCH_EXEC_SCHEMA",
-    "BENCH_OBS_SCHEMA",
+    "BENCH_SCHEMA",
     "RunLedger",
     "RunRecord",
     "SCHEMA",

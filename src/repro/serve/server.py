@@ -222,8 +222,9 @@ class SimulationService:
 
         job.state = "running"
         job.started = now_iso()
-        self._active += 1
-        self.m_active.set(self._active)
+        with self._jobs_lock:
+            self._active += 1
+            self.m_active.set(self._active)
         inline = self.config.sweep_jobs <= 1
         guard = self._inline_lock if inline else contextlib.nullcontext()
         try:
@@ -256,33 +257,38 @@ class SimulationService:
                         job.document = result.to_document()
                     else:
                         job.document = outcome.to_document()
-            job.state = "done"
+            state = "done"
         except BaseException as exc:  # runner threads must never die silently
-            job.state = "failed"
+            state = "failed"
             job.error = f"{type(exc).__name__}: {exc}"
         finally:
             job.finished = now_iso()
-            self._active -= 1
-            self.m_active.set(self._active)
-            self._account(job)
+            with self._jobs_lock:
+                self._active -= 1
+                self.m_active.set(self._active)
+            self._account(job, state)
+            # publish the terminal state only once the stats are filled, so
+            # a poller never sees a finished job with empty stats
+            job.state = state
             job.done_event.set()
 
-    def _account(self, job: Job) -> None:
+    def _account(self, job: Job, state: str) -> None:
         """Reduce the job's flight-recorder log into per-tenant counters —
-        the ``repro tail`` reducer, pointed at one job's event file."""
+        the ``repro tail`` reducer, pointed at one job's event file;
+        ``state`` is the job's terminal state, not yet published."""
         from repro.obs.flight import CampaignState, read_events
 
         stats = {"total": 0, "executed": 0, "cache_hits": 0,
                  "journal_replayed": 0, "failed": 0, "retries": 0}
         if job.events_path and os.path.exists(job.events_path):
-            state = CampaignState()
+            campaign = CampaignState()
             for record in read_events(job.events_path):
-                state.feed(record)
+                campaign.feed(record)
             stats.update(
-                total=state.total, executed=state.executed,
-                cache_hits=state.cache_hits,
-                journal_replayed=state.journal_replayed,
-                failed=state.failed, retries=state.retries,
+                total=campaign.total, executed=campaign.executed,
+                cache_hits=campaign.cache_hits,
+                journal_replayed=campaign.journal_replayed,
+                failed=campaign.failed, retries=campaign.retries,
             )
         job.stats = stats
         tenant = job.tenant
@@ -297,7 +303,7 @@ class SimulationService:
         served = self._hits_total + self._exec_total
         if served:
             self.m_hit_rate.set(self._hits_total / served)
-        self.m_jobs.inc(tenant=tenant, kind=job.kind, outcome=job.state)
+        self.m_jobs.inc(tenant=tenant, kind=job.kind, outcome=state)
 
     # ------------------------------------------------------------------ #
     # drain / shutdown

@@ -175,6 +175,44 @@ def test_quarantine_story_via_pmap(tmp_path):
         assert "scenario-quarantined" not in healthy
 
 
+def test_dispatch_to_a_worker_dead_while_idle_names_its_replacement(
+        tmp_path, monkeypatch):
+    """A pool worker that died while idle is replaced before the dispatch
+    is narrated, so ``scenario-dispatched`` names the pid that ran it."""
+    from repro.exec import resilience
+    from repro.exec.engine import _build_flight
+
+    born = []
+
+    class DeadOnArrival(resilience._Worker):
+        def __init__(self, ctx):
+            super().__init__(ctx)
+            born.append(self.proc.pid)
+            if len(born) == 1:  # the first worker dies before any task
+                self.proc.kill()
+                self.proc.join()
+
+    monkeypatch.setattr(resilience, "_Worker", DeadOnArrival)
+    flight = _build_flight(
+        events=tmp_path / "ev.jsonl", progress=False, textfile=None,
+        jrnl=None, store=None, digests=[],
+    )
+    items = [(i, v, f"digest-{v}", f"item{i}") for i, v in enumerate([2, 3])]
+    results, failures, stats = resilience.resilient_map(
+        _square, items, jobs=2,
+        policy=resilience.SweepPolicy(on_error="collect"), flight=flight,
+    )
+    flight.close()
+    assert results == {0: 4, 1: 9} and not failures
+    assert stats["worker_crashes"] == 1 and stats["worker_respawns"] == 1
+    events = read_events(tmp_path / "ev.jsonl")
+    respawned = [e["worker"] for e in events if e["event"] == "worker-respawn"]
+    assert respawned == [born[2]]
+    dispatched = [e["worker"] for e in events
+                  if e["event"] == "scenario-dispatched"]
+    assert sorted(dispatched) == sorted(born[1:])
+
+
 # --------------------------------------------------------------------- #
 # ledger integration
 # --------------------------------------------------------------------- #

@@ -4,12 +4,7 @@ import pytest
 
 from repro.hardware.nic import NICType
 from repro.hardware.presets import make_topology, homogeneous_topology
-from repro.network.contention import (
-    concurrent_groups_per_nic,
-    group_cluster_span,
-    group_node_span,
-    uniform_concurrency,
-)
+from repro.network.contention import group_cluster_span, group_node_span
 
 
 @pytest.fixture
@@ -28,35 +23,3 @@ class TestSpans:
         assert group_cluster_span(topo, [0, 1]) == 1
         assert group_cluster_span(topo, [0, 8]) == 2
 
-
-class TestConcurrency:
-    def test_single_group_per_node_is_one(self, topo):
-        # One DP group spanning nodes 0-1 (t=1 layout).
-        groups = [list(range(0, 16)), list(range(16, 32))]
-        factors = concurrent_groups_per_nic(topo, groups)
-        assert factors == {0: 1, 1: 1}
-
-    def test_tensor_parallel_groups_share_nics(self, topo):
-        # t=8-style layout: 8 DP groups, each one rank per node.
-        groups = [[g, g + 8, g + 16, g + 24] for g in range(8)]
-        factors = concurrent_groups_per_nic(topo, groups)
-        assert all(f == 8 for f in factors.values())
-
-    def test_intra_node_group_has_factor_one(self, topo):
-        groups = [[0, 1, 2, 3], [8, 16]]
-        factors = concurrent_groups_per_nic(topo, groups)
-        assert factors[0] == 1  # single node: no NIC used
-        assert factors[1] == 1
-
-    def test_intra_node_groups_do_not_count_against_nic(self, topo):
-        # One multi-node ring plus many intra-node groups on its nodes.
-        groups = [[0, 8], [1, 2], [3, 4], [9, 10]]
-        factors = concurrent_groups_per_nic(topo, groups)
-        assert factors[0] == 1
-
-    def test_uniform_concurrency_is_max(self, topo):
-        groups = [[0, 8], [1, 9], [16, 24]]
-        assert uniform_concurrency(topo, groups) == 2
-
-    def test_empty_groups(self, topo):
-        assert uniform_concurrency(topo, []) == 1

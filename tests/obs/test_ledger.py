@@ -3,8 +3,7 @@
 import json
 
 from repro.obs.ledger import (
-    BENCH_EXEC_SCHEMA,
-    BENCH_OBS_SCHEMA,
+    BENCH_SCHEMA,
     SCHEMA,
     RunLedger,
     RunRecord,
@@ -122,16 +121,16 @@ def _exec_doc(date, cost, micro=None):
         for name, value in (micro or {}).items()
     }
     return {
-        "schema": BENCH_EXEC_SCHEMA,
+        "schema": BENCH_SCHEMA,
         "date": date,
         "sweep": {"normalized_cell_cost": cost},
         "microbench": {"benchmarks": benches},
     }
 
 
-def _obs_doc(date, tflops):
+def _cases_doc(date, tflops):
     return {
-        "schema": BENCH_OBS_SCHEMA,
+        "schema": BENCH_SCHEMA,
         "date": date,
         "cases": {
             name: {"tflops_per_gpu": value} for name, value in tflops.items()
@@ -157,10 +156,10 @@ def test_load_bench_history_sorts_and_filters(tmp_path):
     ]
 
 
-def test_bench_trend_merges_both_schemas():
+def test_bench_trend_merges_sweep_micro_and_tflops_series():
     docs = [
         ("a.json", _exec_doc("2026-08-05", 100.0, micro={"allreduce": 10.0})),
-        ("b.json", _obs_doc("2026-08-06", {"ib": 150.0})),
+        ("b.json", _cases_doc("2026-08-06", {"ib": 150.0})),
         ("c.json", _exec_doc("2026-08-07", 120.0, micro={"allreduce": 11.0})),
     ]
     trend = {s.name: s for s in bench_trend(docs)}
@@ -171,6 +170,21 @@ def test_bench_trend_merges_both_schemas():
     assert not cost.higher_is_better
     assert cost.points == (("2026-08-05", 100.0), ("2026-08-07", 120.0))
     assert trend["tflops.ib"].higher_is_better
+
+
+def test_sweep_cost_series_never_mix_grids():
+    # a --fast 4-cell document must not read as a move of the 48-cell series
+    full = _exec_doc("2026-08-05", 100.0)
+    full["sweep"]["name"] = "table3"
+    fast = _exec_doc("2026-08-06", 40.0)
+    fast["sweep"]["name"] = "table3-fast"
+    trend = {s.name: s for s in bench_trend([("a.json", full),
+                                             ("b.json", fast)])}
+    assert trend["sweep.normalized_cell_cost[table3]"].points == (
+        ("2026-08-05", 100.0),)
+    assert trend["sweep.normalized_cell_cost[table3-fast]"].points == (
+        ("2026-08-06", 40.0),)
+    assert trend_regressions(list(trend.values())) == []
 
 
 def test_trend_regressions_respect_direction():

@@ -8,6 +8,7 @@ their own tightly-bounded instance.
 """
 
 import json
+import re
 
 import pytest
 
@@ -116,6 +117,24 @@ class TestSweepLifecycle:
         assert "sweep-begin" in kinds and kinds[-1] == "sweep-end"
         assert "scenario-finished" in kinds
 
+    def test_terminal_state_is_published_after_stats(self, daemon, client,
+                                                     monkeypatch):
+        # a poller that sees "done" must also see the stats: the runner
+        # fills them (in _account) before it publishes the terminal state
+        service = daemon.service
+        account = service._account
+        seen = []
+
+        def spy(job, state):
+            seen.append((job.state, state, dict(job.stats)))
+            account(job, state)
+
+        monkeypatch.setattr(service, "_account", spy)
+        doc = client.submit_sweep([scenario(seed_offset=3)], wait=True)
+        assert doc["state"] == "done"
+        assert doc["stats"]["total"] == 1
+        assert seen == [("running", "done", {})]
+
     def test_sync_sweep_with_wait_flag(self, client):
         doc = client.submit_sweep([scenario()], wait=True)
         assert doc["state"] == "done"
@@ -153,7 +172,12 @@ class TestMetrics:
         assert 'serve_requests_total{endpoint="/v1/run",status="200"}' in text
         assert 'tenant="pytest"' in text  # per-tenant counters
         assert "serve_request_seconds" in text  # latency histogram
-        assert "serve_jobs_total" in text
+        # one series per terminal outcome, never a per-job label value
+        jobs = [l for l in text.splitlines()
+                if l.startswith("serve_jobs_total{")]
+        assert any('outcome="done"' in l for l in jobs)
+        assert all(re.search(r'outcome="(done|failed)"', l) for l in jobs)
+        assert "CampaignState" not in text
 
     def test_cache_hit_rate_reflects_shared_cache(self, client):
         s = scenario()

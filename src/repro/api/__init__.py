@@ -39,7 +39,7 @@ from typing import (
 
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
-from repro.frameworks.base import FrameworkSpec, environment_is_heterogeneous
+from repro.frameworks.base import FrameworkSpec
 from repro.frameworks.holmes import HOLMES, holmes_ablation
 from repro.frameworks.megatron_deepspeed import MEGATRON_DEEPSPEED
 from repro.frameworks.megatron_llama import MEGATRON_LLAMA
@@ -574,20 +574,10 @@ def build(scenario: Scenario):
     scenario describes (planning included), without running it."""
     import dataclasses as _dc
 
-    from repro.core.engine import TrainingSimulation
-    from repro.core.scheduler import HolmesScheduler
+    from repro.frameworks.base import build_simulation
     from repro.network.costmodel import CostModelConfig
 
-    spec = scenario.framework_spec
     topo = scenario.topology()
-    plan = HolmesScheduler(alpha=spec.alpha).plan(
-        topo,
-        scenario.parallel,
-        scenario.model,
-        placement_strategy=spec.placement_strategy,
-        partition_strategy=spec.partition_strategy,
-    )
-    force_ethernet = (not spec.nic_aware) and environment_is_heterogeneous(topo)
     cost_config = None
     if scenario.bandwidth_scale != 1.0:
         base = CostModelConfig()
@@ -600,14 +590,14 @@ def build(scenario: Scenario):
         from repro.validate.hooks import ValidationHooks
 
         validation = ValidationHooks()
-    return TrainingSimulation(
-        plan,
+    return build_simulation(
+        scenario.framework_spec,
+        topo,
+        scenario.parallel,
         scenario.model,
-        optimizer=spec.optimizer,
         schedule=scenario.schedule,
         num_chunks=scenario.num_chunks,
         cost_config=cost_config,
-        force_ethernet=force_ethernet,
         trace_enabled=scenario.trace_enabled,
         stragglers=dict(scenario.stragglers) or None,
         tie_embeddings=scenario.tie_embeddings,

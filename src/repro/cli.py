@@ -421,14 +421,16 @@ def cmd_faults(args: argparse.Namespace) -> int:
         raise SystemExit("no faults given: use --event and/or --random N")
 
     if args.machine:
-        # ad-hoc machine: direct engine path
-        from repro.core.engine import TrainingSimulation
-        from repro.core.scheduler import HolmesScheduler
+        # ad-hoc machine: the env branch's preset, built on the loaded file
+        from repro.api import FRAMEWORK_PRESETS
+        from repro.frameworks.base import build_simulation
 
         topology = resolve_machine(args)
         parallel = group.parallel_for(topology.world_size)
-        plan = HolmesScheduler().plan(topology, parallel, group.model)
-        healthy = TrainingSimulation(plan, group.model).run()
+        preset = FRAMEWORK_PRESETS["holmes-no-overlap"]
+        healthy = build_simulation(
+            preset, topology, parallel, group.model
+        ).run()
         if args.random_events:
             horizon = args.horizon if args.horizon else healthy.iteration_time
             fault_plan = FaultPlan.random(
@@ -444,7 +446,9 @@ def cmd_faults(args: argparse.Namespace) -> int:
         print(topology.describe())
         print(f"model: {group.model.describe()}\n")
         print(fault_plan.describe())
-        result = TrainingSimulation(plan, group.model, fault_plan=fault_plan).run()
+        result = build_simulation(
+            preset, topology, parallel, group.model, fault_plan=fault_plan
+        ).run()
     else:
         import dataclasses
 
@@ -536,13 +540,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
     events = tuple(_parse_fault_event(s) for s in args.event or ())
 
     if args.machine:
-        from repro.core.engine import TrainingSimulation
-        from repro.core.scheduler import HolmesScheduler
+        from repro.api import FRAMEWORK_PRESETS
         from repro.faults import FaultPlan
+        from repro.frameworks.base import build_simulation
 
         topology = resolve_machine(args)
-        parallel = group.parallel_for(topology.world_size)
-        plan = HolmesScheduler().plan(topology, parallel, group.model)
         fault_plan = None
         if events:
             fault_plan = FaultPlan(events=events)
@@ -550,8 +552,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
                 fault_plan.validate_against(topology)
             except ConfigurationError as exc:
                 raise SystemExit(f"fault plan does not fit this machine: {exc}")
-        result = TrainingSimulation(
-            plan, group.model, fault_plan=fault_plan
+        result = build_simulation(
+            FRAMEWORK_PRESETS["holmes-no-overlap"],
+            topology,
+            group.parallel_for(topology.world_size),
+            group.model,
+            fault_plan=fault_plan,
         ).run()
     else:
         from repro import api
@@ -614,8 +620,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     selected relation (with the invariant sanitizer armed inside each run),
     and emit a ``repro.validate.report/v1`` document.  Exit 0 iff every
     relation held on every scenario."""
+    import dataclasses
     import json
 
+    from repro import api
     from repro.validate import ValidationHooks, run_validation
     from repro.validate.metamorphic import RELATIONS
     from repro.validate.report import (
@@ -648,10 +656,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     # One sanitizer-armed pass over the raw scenarios so the report carries
     # the invariant tallies of this exact sweep (the relation runs arm their
-    # own private hooks).
+    # own private hooks); one sanitizer tallies every scenario.
     sanitizer = ValidationHooks()
-    for spec in sample_scenarios(args.scenarios, args.seed):
-        spec.run(validation=sanitizer, fidelity=fidelity)
+    for scenario in sample_scenarios(args.scenarios, args.seed):
+        sim = api.build(dataclasses.replace(scenario, fidelity=fidelity))
+        sim.validation = sanitizer
+        sim.run()
 
     report = build_validation_report(
         results,

@@ -16,15 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
-from repro.core.engine import TrainingSimulation
 from repro.core.memory_model import estimate_memory
 from repro.core.optimizer import STRATEGIES, OptimizerStrategy
-from repro.core.scheduler import HolmesScheduler
 from repro.errors import ConfigurationError, ParallelismError, SchedulingError
 from repro.hardware.topology import ClusterTopology
 from repro.model.config import GPTConfig
 from repro.network.costmodel import CostModelConfig
-from repro.parallel.degrees import ParallelConfig
+from repro.parallel.degrees import ParallelConfig, feasible_layouts
 
 
 @dataclass(frozen=True)
@@ -55,34 +53,24 @@ def enumerate_configs(
     micro_batch_size: int = 4,
     max_tensor: Optional[int] = None,
 ) -> Iterable[ParallelConfig]:
-    """All (t, p, d) triples valid for the machine, model, and batch.
-
-    Constraints: ``t`` divides the node's GPU count; ``p`` leaves every
-    stage at least one transformer layer; ``d`` divides the global batch
-    with whole microbatches.
-    """
-    G = topology.gpus_per_node
-    N = topology.world_size
-    max_t = min(max_tensor or G, G)
-    for t in range(1, max_t + 1):
-        if G % t != 0:
+    """All (t, p, d) triples valid for the machine, model, and batch (see
+    :func:`repro.parallel.degrees.feasible_layouts`)."""
+    for t, p, d in feasible_layouts(
+        topology.world_size,
+        topology.gpus_per_node,
+        model.num_layers,
+        global_batch_size,
+        micro_batch_size,
+        max_tensor=max_tensor,
+    ):
+        try:
+            yield ParallelConfig(
+                tensor=t, pipeline=p, data=d,
+                micro_batch_size=micro_batch_size,
+                global_batch_size=global_batch_size,
+            )
+        except ParallelismError:
             continue
-        for p in range(1, model.num_layers + 1):
-            if N % (t * p) != 0:
-                continue
-            d = N // (t * p)
-            if global_batch_size % d != 0:
-                continue
-            if (global_batch_size // d) % micro_batch_size != 0:
-                continue
-            try:
-                yield ParallelConfig(
-                    tensor=t, pipeline=p, data=d,
-                    micro_batch_size=micro_batch_size,
-                    global_batch_size=global_batch_size,
-                )
-            except ParallelismError:
-                continue
 
 
 def evaluate_candidates(
@@ -94,25 +82,32 @@ def evaluate_candidates(
     allow_straddling: bool = False,
     alpha: float = 1.05,
 ) -> List[PlanCandidate]:
-    """Simulate each configuration; drop infeasible ones."""
-    optimizer = optimizer or STRATEGIES["overlapped"]
-    scheduler = HolmesScheduler(alpha=alpha)
+    """Simulate each configuration under the Holmes policy (with the given
+    optimizer and Eq. 2 ``alpha``); drop infeasible ones."""
+    # function-local: repro.frameworks imports repro.core
+    from repro.frameworks.base import build_simulation
+    from repro.frameworks.holmes import HOLMES
+
+    spec = HOLMES.with_overrides(
+        optimizer=optimizer or STRATEGIES["overlapped"], alpha=alpha
+    )
     gpu = topology.node_of(0).gpu
     candidates: List[PlanCandidate] = []
     for parallel in configs:
         try:
-            plan = scheduler.plan(topology, parallel, model)
+            sim = build_simulation(
+                spec, topology, parallel, model,
+                cost_config=cost_config, trace_enabled=False,
+            )
         except (SchedulingError, ParallelismError, ConfigurationError):
             continue
+        plan = sim.plan
         if plan.straddling_stages and not allow_straddling:
             continue
         estimate = estimate_memory(model, parallel, list(plan.stage_layers))
         if not estimate.fits(gpu):
             continue
-        result = TrainingSimulation(
-            plan, model, optimizer=optimizer, cost_config=cost_config,
-            trace_enabled=False,
-        ).run()
+        result = sim.run()
         candidates.append(
             PlanCandidate(
                 parallel=parallel,

@@ -8,11 +8,12 @@ sweep, and the ``repro bench`` CLI.  Its contract:
   regardless of worker count or completion order.
 - **Parallel equals serial, byte for byte.**  Every scenario is seeded
   data (:class:`repro.api.Scenario`), every simulation builds its own
-  engine, and :func:`_isolate_seeds` re-seeds the process-global RNGs from
-  the scenario digest before *every* run — serial and parallel alike — so
-  no result can depend on which worker ran it, what ran before it, or the
-  interleaving of the pool.  ``tests/exec/test_parallel.py`` asserts
-  replay-digest equality between ``jobs=1`` and ``jobs=4`` sweeps.
+  engine, and every random draw comes from a generator seeded by the
+  scenario — the simulator never touches the process-global RNGs
+  (``tests/test_no_global_rng.py`` enforces it) — so no result can depend
+  on which worker ran it, what ran before it, or the interleaving of the
+  pool.  ``tests/exec/test_parallel.py`` asserts replay-digest equality
+  between ``jobs=1`` and ``jobs=4`` sweeps.
 - **Fault tolerance.**  Work is dispatched one scenario at a time to a
   supervised worker pool (:mod:`repro.exec.resilience`): a hung scenario is
   killed at its wall-clock ``timeout`` and its worker respawned, a crashed
@@ -21,8 +22,9 @@ sweep, and the ``repro bench`` CLI.  Its contract:
   retries is either raised (:class:`~repro.exec.resilience.SweepError`,
   default) or quarantined into the failure manifest of a
   :class:`~repro.exec.resilience.SweepOutcome` (``on_error="collect"``).
-  Because results are reassembled by input index and every run re-seeds
-  from the scenario digest, none of this machinery can change a result.
+  Because results are reassembled by input index and every run is a
+  function of its scenario alone, none of this machinery can change a
+  result.
 - **Crash-safe resume.**  With ``resume=True`` (or an explicit ``journal``
   root) every completed scenario is appended to a durable sweep journal
   (:mod:`repro.exec.journal`); an interrupted sweep — Ctrl-C, SIGTERM, or a
@@ -41,7 +43,6 @@ values, returning pickled ``RunResult`` values.
 from __future__ import annotations
 
 import os
-import random
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
@@ -60,33 +61,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.exec.cache import ResultCache
 
 
-def _isolate_seeds(digest: str) -> None:
-    """Pin the process-global RNGs to a function of the scenario digest.
-
-    The simulator itself never draws from global RNG state (fault plans
-    carry their own seeds), but user hooks or future code might; deriving
-    the global seeds from the scenario — not from the worker — makes any
-    such draw identical under serial, parallel, and re-ordered execution.
-    """
-    seed = int(digest[:16], 16)
-    random.seed(seed)
-    try:
-        import numpy as _np
-
-        _np.random.seed(seed % (2**32))
-    except ImportError:  # pragma: no cover - numpy is a hard dep today
-        pass
-
-
 def _run_one(scenario: "Scenario") -> "RunResult":
     from repro.api import run
 
-    digest = scenario.digest()
     if os.environ.get("REPRO_CHAOS_PLAN"):  # chaos harness (tests only)
         from repro.exec.chaos import maybe_inject
 
-        maybe_inject(digest)
-    _isolate_seeds(digest)
+        maybe_inject(scenario.digest())
     return run(scenario)
 
 

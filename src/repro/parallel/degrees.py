@@ -9,6 +9,7 @@ over NVLink/PCIe, so ``t <= G``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.errors import ParallelismError
 
@@ -73,3 +74,33 @@ class ParallelConfig:
             f"mbs={self.micro_batch_size} gbs={self.global_batch_size} "
             f"(m={self.num_microbatches})"
         )
+
+
+def feasible_layouts(
+    world_size: int,
+    gpus_per_node: int,
+    num_layers: int,
+    global_batch_size: int,
+    micro_batch_size: int,
+    max_tensor: Optional[int] = None,
+) -> List[Tuple[int, int, int]]:
+    """Every ``(t, p, d)`` a machine, model and batch admit, in ascending
+    ``(t, p)`` order.
+
+    ``t`` divides ``gpus_per_node`` (and is at most ``max_tensor``);
+    ``t * p`` divides the world size; ``p`` leaves every stage at least one
+    transformer layer; the global batch splits over ``d`` replicas into
+    whole microbatches.
+    """
+    max_t = min(max_tensor or gpus_per_node, gpus_per_node)
+    layouts: List[Tuple[int, int, int]] = []
+    for t in range(1, max_t + 1):
+        if gpus_per_node % t != 0:
+            continue
+        for p in range(1, num_layers + 1):
+            if world_size % (t * p) != 0:
+                continue
+            d = world_size // (t * p)
+            if global_batch_size % (d * micro_batch_size) == 0:
+                layouts.append((t, p, d))
+    return layouts

@@ -27,6 +27,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.api import FRAMEWORK_PRESETS, Scenario
 from repro.errors import ConfigurationError, ParallelismError
+from repro.parallel.degrees import feasible_layouts
 
 #: Policy axis searched by default: every distinct placement x partition x
 #: optimizer-overlap combination expressible as a framework preset.  The
@@ -54,30 +55,16 @@ def enumerate_layouts(
     base: Scenario, max_tensor: Optional[int] = None
 ) -> List[Tuple[int, int, int]]:
     """Every feasible ``(t, p, d)`` for the base's machine, model, and
-    workload, in deterministic ascending ``(t, p)`` order.
-
-    Constraints (mirroring :func:`repro.core.planner.enumerate_configs`):
-    ``t`` divides ``gpus_per_node``; ``t * p`` divides the world size;
-    ``p`` does not exceed the transformer layer count; the global batch
-    splits over ``d`` replicas into whole microbatches.
-    """
-    G = base.gpus_per_node
-    N = base.world_size
-    batch = base.global_batch_size
-    mbs = base.micro_batch_size
-    max_t = min(max_tensor or G, G)
-    layouts: List[Tuple[int, int, int]] = []
-    for t in range(1, max_t + 1):
-        if G % t != 0:
-            continue
-        for p in range(1, base.num_layers + 1):
-            if N % (t * p) != 0:
-                continue
-            d = N // (t * p)
-            if batch % (d * mbs) != 0:
-                continue
-            layouts.append((t, p, d))
-    return layouts
+    workload, in deterministic ascending ``(t, p)`` order (see
+    :func:`repro.parallel.degrees.feasible_layouts`)."""
+    return feasible_layouts(
+        base.world_size,
+        base.gpus_per_node,
+        base.num_layers,
+        base.global_batch_size,
+        base.micro_batch_size,
+        max_tensor=max_tensor,
+    )
 
 
 def _schedule_variants(

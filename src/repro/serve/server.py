@@ -28,12 +28,6 @@ against one shared warm :class:`repro.exec.ResultCache`, with a per-job
 flight-recorder event log under the spool directory — so journaling,
 chaos tolerance, and determinism carry over unchanged, and the events
 endpoint is just ``repro tail`` over the wire.
-
-Inline executions (``sweep_jobs <= 1``) are serialized across runner
-threads: the executor reseeds the *process-global* RNGs per scenario, and
-two concurrent inline simulations in one process could interleave those
-seeds.  Worker-pool executions (``sweep_jobs > 1``) reseed inside their
-own worker processes and may overlap freely.
 """
 
 from __future__ import annotations
@@ -123,8 +117,6 @@ class SimulationService:
         self._threads: List[threading.Thread] = []
         self._stop = threading.Event()
         self.draining = threading.Event()
-        #: see module docstring — inline executions must not overlap
-        self._inline_lock = threading.Lock()
         self.started_iso = now_iso()
         self._t0 = time.time()
         self._shed = 0
@@ -225,38 +217,35 @@ class SimulationService:
         with self._jobs_lock:
             self._active += 1
             self.m_active.set(self._active)
-        inline = self.config.sweep_jobs <= 1
-        guard = self._inline_lock if inline else contextlib.nullcontext()
         try:
-            with guard:
-                if job.kind == "plan":
-                    result = api.plan(
-                        job.scenarios[0],
-                        budget=int(job.options.get("budget", 32)),
-                        top_k=int(job.options.get("top_k", 4)),
-                        fidelity=str(job.options.get("fidelity", "auto")),
-                        jobs=max(1, self.config.sweep_jobs),
-                        cache=self.cache,
-                    )
+            if job.kind == "plan":
+                result = api.plan(
+                    job.scenarios[0],
+                    budget=int(job.options.get("budget", 32)),
+                    top_k=int(job.options.get("top_k", 4)),
+                    fidelity=str(job.options.get("fidelity", "auto")),
+                    jobs=max(1, self.config.sweep_jobs),
+                    cache=self.cache,
+                )
+                job.document = result.to_document()
+            else:
+                outcome = api.sweep(
+                    job.scenarios,
+                    jobs=max(1, self.config.sweep_jobs),
+                    cache=self.cache,
+                    on_error="collect",
+                    events=job.events_path,
+                    progress=False,
+                    fidelity=job.options.get("fidelity"),  # type: ignore[arg-type]
+                )
+                if job.kind == "run":
+                    result = outcome.results[0]
+                    if result is None:
+                        failure = outcome.failures[0]
+                        raise RuntimeError(failure.describe())
                     job.document = result.to_document()
                 else:
-                    outcome = api.sweep(
-                        job.scenarios,
-                        jobs=max(1, self.config.sweep_jobs),
-                        cache=self.cache,
-                        on_error="collect",
-                        events=job.events_path,
-                        progress=False,
-                        fidelity=job.options.get("fidelity"),  # type: ignore[arg-type]
-                    )
-                    if job.kind == "run":
-                        result = outcome.results[0]
-                        if result is None:
-                            failure = outcome.failures[0]
-                            raise RuntimeError(failure.describe())
-                        job.document = result.to_document()
-                    else:
-                        job.document = outcome.to_document()
+                    job.document = outcome.to_document()
             state = "done"
         except BaseException as exc:  # runner threads must never die silently
             state = "failed"

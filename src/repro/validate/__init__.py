@@ -49,7 +49,7 @@ from repro.validate.report import (
     render_validation_report,
     validate_validation_report,
 )
-from repro.validate.scenarios import ScenarioSpec, sample_scenarios, scaled_topology
+from repro.validate.scenarios import sample_scenarios, scaled_topology
 
 __all__ = [
     "InvariantViolation",
@@ -69,7 +69,6 @@ __all__ = [
     "build_validation_report",
     "render_validation_report",
     "validate_validation_report",
-    "ScenarioSpec",
     "sample_scenarios",
     "scaled_topology",
 ]

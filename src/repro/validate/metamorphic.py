@@ -31,25 +31,27 @@ encodes a paper-level physical property the simulator must respect:
     span falls back to executed anyway), and the ``auto`` tier replays
     byte-identically under its own seed.
 
-Each relation is a pure function ``ScenarioSpec -> RelationResult`` so the
+Each relation is a pure function ``Scenario -> RelationResult`` so the
 registry can be driven both by pytest parametrization
 (``tests/validate/test_metamorphic.py``) and by the ``repro validate`` CLI
-(:func:`run_validation`).
+(:func:`run_validation`).  A transformed run is the scenario with one field
+replaced (``dataclasses.replace``), simulated through :func:`repro.api.simulate`
+with the invariant sanitizer armed (``validate=True``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.api import Scenario, simulate
 from repro.collectives.executor import CollectiveExecutor
 from repro.collectives.p2p import ChannelRegistry
 from repro.errors import InvariantViolation, ReproError
 from repro.network.fabric import Fabric
 from repro.simcore.engine import SimEngine
-from repro.validate.hooks import ValidationHooks
 from repro.validate.replay import diff_runs
-from repro.validate.scenarios import ScenarioSpec, sample_scenarios
+from repro.validate.scenarios import sample_scenarios
 
 #: Relative slack for monotonicity comparisons.  The DES is not analytically
 #: monotone — changing one duration can reorder FIFO grants — but observed
@@ -93,15 +95,21 @@ class Relation:
 
     name: str
     description: str
-    check: Callable[[ScenarioSpec], RelationResult]
+    check: Callable[[Scenario], RelationResult]
 
 
 def _result(
-    name: str, spec: ScenarioSpec, passed: bool, **details: object
+    name: str, scenario: Scenario, passed: bool, **details: object
 ) -> RelationResult:
     return RelationResult(
-        relation=name, scenario=spec.describe(), passed=passed, details=dict(details)
+        relation=name, scenario=scenario.describe(), passed=passed, details=dict(details)
     )
+
+
+def _checked(scenario: Scenario, **changes: object):
+    """Simulate ``scenario`` with ``changes`` applied and the sanitizer
+    armed."""
+    return simulate(replace(scenario, validate=True, **changes))
 
 
 # --------------------------------------------------------------------- #
@@ -109,70 +117,69 @@ def _result(
 # --------------------------------------------------------------------- #
 
 
-def _check_bandwidth(spec: ScenarioSpec) -> RelationResult:
-    base = spec.run(with_faults=False, validation=ValidationHooks())
-    fast = spec.run(
-        with_faults=False, bandwidth_scale=2.0, validation=ValidationHooks()
-    )
+def _check_bandwidth(scenario: Scenario) -> RelationResult:
+    # fault-free: wall-clock-anchored fault windows would confound the
+    # monotonic relations
+    base = _checked(scenario, fault_seed=None)
+    fast = _checked(scenario, fault_seed=None, bandwidth_scale=2.0)
     t0 = base.metrics.iteration_time
     t1 = fast.metrics.iteration_time
     return _result(
-        "bandwidth_monotonic", spec, t1 <= t0 * (1.0 + MONO_RTOL),
+        "bandwidth_monotonic", scenario, t1 <= t0 * (1.0 + MONO_RTOL),
         base_time=t0, doubled_time=t1,
     )
 
 
-def _check_straggler(spec: ScenarioSpec) -> RelationResult:
-    base = spec.run(with_faults=False, validation=ValidationHooks())
-    slow = spec.run(
-        with_faults=False, stragglers={0: 3.0}, validation=ValidationHooks()
-    )
+def _check_straggler(scenario: Scenario) -> RelationResult:
+    base = _checked(scenario, fault_seed=None)
+    slow = _checked(scenario, fault_seed=None, stragglers={0: 3.0})
     t0 = base.makespan
     t1 = slow.makespan
     return _result(
-        "straggler_monotonic", spec, t1 >= t0 * (1.0 - CONTENTION_RTOL),
+        "straggler_monotonic", scenario, t1 >= t0 * (1.0 - CONTENTION_RTOL),
         base_makespan=t0, straggler_makespan=t1,
     )
 
 
-def _check_workload(spec: ScenarioSpec) -> RelationResult:
-    base = spec.run(with_faults=False, validation=ValidationHooks())
-    more = spec.run(
-        with_faults=False,
-        num_microbatches=spec.num_microbatches * 2,
-        validation=ValidationHooks(),
+def _check_workload(scenario: Scenario) -> RelationResult:
+    base = _checked(scenario, fault_seed=None)
+    # global_batch_size=0 makes the doubled microbatch count the input the
+    # batch derives from (otherwise the batch would derive it back)
+    more = _checked(
+        scenario,
+        fault_seed=None,
+        global_batch_size=0,
+        num_microbatches=scenario.num_microbatches * 2,
     )
     t0 = base.metrics.iteration_time
     t1 = more.metrics.iteration_time
     return _result(
-        "workload_monotonic", spec, t1 >= t0 * (1.0 - MONO_RTOL),
+        "workload_monotonic", scenario, t1 >= t0 * (1.0 - MONO_RTOL),
         base_time=t0, doubled_workload_time=t1,
     )
 
 
-def _check_seed_replay(spec: ScenarioSpec) -> RelationResult:
-    report = diff_runs(lambda: spec.run(validation=ValidationHooks()))
+def _check_seed_replay(scenario: Scenario) -> RelationResult:
+    report = diff_runs(lambda: _checked(scenario))
     details: Dict[str, object] = {
         "trace_digest": report.first.trace[:16],
         "num_spans": report.first.num_spans,
-        "faulted": spec.fault_seed is not None,
+        "faulted": scenario.fault_seed is not None,
     }
     if not report.identical:
         details["divergence"] = report.describe()
-    return _result("seed_replay", spec, report.identical, **details)
+    return _result("seed_replay", scenario, report.identical, **details)
 
 
-def _check_fidelity(spec: ScenarioSpec) -> RelationResult:
-    executed = spec.run(validation=ValidationHooks())
-    auto = spec.run(validation=ValidationHooks(), fidelity="auto")
+def _check_fidelity(scenario: Scenario) -> RelationResult:
+    executed = _checked(scenario)
+    auto = _checked(scenario, fidelity="auto")
     t0 = executed.metrics.iteration_time
     t1 = auto.metrics.iteration_time
-    faulted = spec.fault_seed is not None
+    faulted = scenario.fault_seed is not None
     tol = FIDELITY_FAULTED_RTOL if faulted else FIDELITY_RTOL
     rel = abs(t1 - t0) / t0 if t0 > 0.0 else 0.0
-    replay = diff_runs(
-        lambda: spec.run(validation=ValidationHooks(), fidelity="auto")
-    )
+    replay = diff_runs(lambda: _checked(scenario, fidelity="auto"))
     details: Dict[str, object] = {
         "executed_time": t0,
         "auto_time": t1,
@@ -184,7 +191,8 @@ def _check_fidelity(spec: ScenarioSpec) -> RelationResult:
     if not replay.identical:
         details["divergence"] = replay.describe()
     return _result(
-        "fidelity_conformance", spec, rel <= tol and replay.identical, **details
+        "fidelity_conformance", scenario, rel <= tol and replay.identical,
+        **details,
     )
 
 
@@ -194,11 +202,11 @@ def _check_fidelity(spec: ScenarioSpec) -> RelationResult:
 
 
 def _executed_allreduce(
-    spec: ScenarioSpec, ranks: Sequence[int], nbytes: float
+    scenario: Scenario, ranks: Sequence[int], nbytes: float
 ) -> tuple:
     """Run a standalone executed ring all-reduce over ``ranks`` on the
-    spec's topology; returns (makespan, slowest-edge transport)."""
-    topo = spec.topology()
+    scenario's topology; returns (makespan, slowest-edge transport)."""
+    topo = scenario.topology()
     engine = SimEngine(hooks=None)
     fabric = Fabric(topo, engine=engine)
     channels = ChannelRegistry(engine)
@@ -212,29 +220,32 @@ def _executed_allreduce(
     return makespan, fabric.group_transport(ranks)
 
 
-def _one_rank_per_node(spec: ScenarioSpec, offset: int = 0) -> List[int]:
-    return [n * spec.gpus_per_node + offset for n in range(spec.nodes)]
+def _one_rank_per_node(scenario: Scenario, offset: int = 0) -> List[int]:
+    return [n * scenario.gpus_per_node + offset for n in range(scenario.nodes)]
 
 
-def _check_slowest_link_bound(spec: ScenarioSpec) -> RelationResult:
+def _check_slowest_link_bound(scenario: Scenario) -> RelationResult:
     nbytes = 8 * 1024 * 1024
-    ranks = _one_rank_per_node(spec)
+    ranks = _one_rank_per_node(scenario)
     d = len(ranks)
-    makespan, edge = _executed_allreduce(spec, ranks, nbytes)
+    makespan, edge = _executed_allreduce(scenario, ranks, nbytes)
     bound = 2.0 * (d - 1) * nbytes / (d * edge.bandwidth)
     return _result(
-        "allreduce_slowest_link_bound", spec, makespan >= bound * (1.0 - MONO_RTOL),
+        "allreduce_slowest_link_bound", scenario,
+        makespan >= bound * (1.0 - MONO_RTOL),
         makespan=makespan, bound=bound, slowest_bandwidth=edge.bandwidth,
     )
 
 
-def _check_rank_relabel(spec: ScenarioSpec) -> RelationResult:
+def _check_rank_relabel(scenario: Scenario) -> RelationResult:
     nbytes = 8 * 1024 * 1024
-    base, _ = _executed_allreduce(spec, _one_rank_per_node(spec, 0), nbytes)
-    shifted, _ = _executed_allreduce(spec, _one_rank_per_node(spec, 1), nbytes)
+    base, _ = _executed_allreduce(scenario, _one_rank_per_node(scenario, 0), nbytes)
+    shifted, _ = _executed_allreduce(
+        scenario, _one_rank_per_node(scenario, 1), nbytes
+    )
     equal = abs(base - shifted) <= EXACT_RTOL * max(abs(base), abs(shifted))
     return _result(
-        "rank_relabel_invariant", spec, equal,
+        "rank_relabel_invariant", scenario, equal,
         base_makespan=base, relabeled_makespan=shifted,
     )
 
@@ -289,30 +300,31 @@ RELATIONS: Dict[str, Relation] = {
 }
 
 
-def check_relation(name: str, spec: ScenarioSpec) -> RelationResult:
+def check_relation(name: str, scenario: Scenario) -> RelationResult:
     """Run one relation on one scenario, folding library errors (including
     sanitizer :class:`InvariantViolation`) into a failed result."""
     relation = RELATIONS[name]
     try:
-        return relation.check(spec)
+        return relation.check(scenario)
     except InvariantViolation as exc:
         return RelationResult(
             relation=name,
-            scenario=spec.describe(),
+            scenario=scenario.describe(),
             passed=False,
             details={"invariant": exc.invariant, "context": exc.context},
             error=str(exc),
         )
     except ReproError as exc:
         return RelationResult(
-            relation=name, scenario=spec.describe(), passed=False, error=str(exc)
+            relation=name, scenario=scenario.describe(), passed=False,
+            error=str(exc),
         )
 
 
 def _check_pair(pair: tuple) -> RelationResult:
     """Picklable worker body for the parallel sweep."""
-    name, spec = pair
-    return check_relation(name, spec)
+    name, scenario = pair
+    return check_relation(name, scenario)
 
 
 def run_validation(
@@ -343,14 +355,12 @@ def run_validation(
     unknown = [n for n in names if n not in RELATIONS]
     if unknown:
         raise KeyError(f"unknown relations: {unknown}; have {sorted(RELATIONS)}")
-    specs = sample_scenarios(num_scenarios, seed)
+    scenarios = sample_scenarios(num_scenarios, seed)
     if fidelity is not None:
-        import dataclasses
-
-        specs = [dataclasses.replace(spec, fidelity=fidelity) for spec in specs]
-    pairs = [(name, spec) for spec in specs for name in names]
+        scenarios = [replace(s, fidelity=fidelity) for s in scenarios]
+    pairs = [(name, scenario) for scenario in scenarios for name in names]
     if jobs == 1 and timeout is None and not progress:
-        return [check_relation(name, spec) for name, spec in pairs]
+        return [check_relation(name, scenario) for name, scenario in pairs]
     from repro.exec import pmap
 
     return pmap(  # type: ignore[return-value]

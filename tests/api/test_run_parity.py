@@ -1,10 +1,9 @@
 """The api surface reproduces the legacy entry points byte-for-byte."""
 
-from repro.api import RunResult, Scenario, run, simulate
+from repro.api import RunResult, Scenario, run
 from repro.bench.paramgroups import PARAM_GROUPS
 from repro.bench.runner import case_scenario, run_holmes_case
-from repro.validate.replay import fingerprint
-from repro.validate.scenarios import ENV_BUILDERS, sample_scenarios
+from repro.validate.scenarios import ENV_BUILDERS
 
 
 def test_run_matches_run_holmes_case():
@@ -24,15 +23,6 @@ def test_run_matches_run_holmes_case():
 def test_run_is_deterministic():
     scenario = case_scenario("ib", 2, PARAM_GROUPS[1])
     assert run(scenario) == run(scenario)
-
-
-def test_to_scenario_bridge_matches_validate_specs():
-    # the metamorphic harness's ScenarioSpec and the api Scenario must
-    # drive the engine identically (including a faulted spec)
-    for spec in sample_scenarios(3, seed=123):
-        via_spec = fingerprint(spec.run())
-        via_api = fingerprint(simulate(spec.to_scenario()))
-        assert via_spec == via_api, spec.name
 
 
 def test_run_result_round_trips_through_json():

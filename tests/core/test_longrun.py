@@ -7,11 +7,15 @@ import pytest
 from repro.core.faults import CheckpointPolicy
 from repro.core.longrun import (
     ElasticPolicy,
+    degraded_throughput_fractions,
     elastic_goodput_analytic,
     simulate_campaign,
     simulate_elastic_campaign,
 )
 from repro.errors import ConfigurationError
+from repro.hardware.nic import NICType
+from repro.hardware.presets import homogeneous_topology
+from repro.model.config import GPTConfig
 
 POLICY = CheckpointPolicy(checkpoint_time=60.0, restart_time=300.0,
                           mtbf=6 * 3600.0)
@@ -212,3 +216,24 @@ class TestElasticCampaign:
             - result.reconfig_time - result.idle_time
         # useful (phi-weighted) can't exceed wall running time.
         assert 0.0 < result.useful_time <= running + 1e-6
+
+
+class TestDegradedThroughputFractions:
+    def test_replanned_fractions_feed_the_elastic_campaign(self):
+        topology = homogeneous_topology(4, NICType.INFINIBAND, gpus_per_node=4)
+        model = GPTConfig(num_layers=8, hidden_size=1024, num_attention_heads=8,
+                          seq_length=512, vocab_size=8192)
+        fractions = degraded_throughput_fractions(
+            topology, model, global_batch_size=48, max_failures=2,
+            micro_batch_size=2,
+        )
+        assert sorted(fractions) == [0, 1, 2]
+        assert fractions[0] == 1.0
+        assert all(0.0 < f <= 1.0 for f in fractions.values())
+        policy = ElasticPolicy(num_nodes=4, node_mtbf=4 * 40_000.0,
+                               repair_time=600.0, reconfig_time=45.0)
+        result = simulate_elastic_campaign(
+            policy, ELASTIC_CKPT, 10.0, 1e6, seed=3,
+            throughput_fractions=fractions,
+        )
+        assert 0.0 < result.goodput <= 1.0

@@ -30,8 +30,7 @@ def sampled_bases(n=8, seed=3):
     """Small bases drawn through the metamorphic sampler (fault-free:
     the planner plans the healthy machine)."""
     bases = []
-    for spec in sample_scenarios(n, seed=seed):
-        scenario = spec.to_scenario()
+    for scenario in sample_scenarios(n, seed=seed):
         bases.append(dataclasses.replace(
             scenario, fault_seed=None, trace_enabled=False,
         ))

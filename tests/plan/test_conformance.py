@@ -22,20 +22,17 @@ from repro.validate.scenarios import sample_scenarios
 #: ranking covers the same candidates the search tier ranked.
 BUDGET = 6
 
-SPECS = [
-    spec for spec in sample_scenarios(14, seed=7)
-]
+SCENARIOS = sample_scenarios(14, seed=7)
 
 
-def planner_base(spec):
-    scenario = spec.to_scenario()
+def planner_base(scenario):
     return dataclasses.replace(scenario, fault_seed=None, trace_enabled=False)
 
 
 @pytest.mark.property
-@pytest.mark.parametrize("spec", SPECS, ids=[s.name for s in SPECS])
-def test_search_and_confirm_tiers_agree_on_top1(spec):
-    base = planner_base(spec)
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=[s.label for s in SCENARIOS])
+def test_search_and_confirm_tiers_agree_on_top1(scenario):
+    base = planner_base(scenario)
     result = plan_scenario(
         base,
         budget=BUDGET,
@@ -53,7 +50,7 @@ def test_search_and_confirm_tiers_agree_on_top1(spec):
     search_top1 = max(dual, key=lambda r: (r.search_tflops, r.label))
     exec_top1 = max(dual, key=lambda r: (r.tflops, r.label))
     assert search_top1.tflops >= (1.0 - PLAN_RANK_RTOL) * exec_top1.tflops, (
-        f"{spec.describe()}: search tier picked {search_top1.label} "
+        f"{scenario.describe()}: search tier picked {search_top1.label} "
         f"({search_top1.tflops:.2f} TFLOPS confirmed) but executed winner "
         f"is {exec_top1.label} ({exec_top1.tflops:.2f} TFLOPS)"
     )
@@ -62,7 +59,7 @@ def test_search_and_confirm_tiers_agree_on_top1(spec):
     # within the declared tolerance on every confirmed candidate.
     assert result.tolerance == PLAN_FIDELITY_RTOL
     assert result.within_tolerance, (
-        f"{spec.describe()}: max deviation {result.max_deviation:.4f} "
+        f"{scenario.describe()}: max deviation {result.max_deviation:.4f} "
         f"exceeds {result.tolerance:.4f}"
     )
 
@@ -71,4 +68,4 @@ def test_search_and_confirm_tiers_agree_on_top1(spec):
 def test_conformance_sample_is_large_enough():
     # The satellite contract: at least 10 sampled scenarios back the
     # conformance claim.
-    assert len(SPECS) >= 10
+    assert len(SCENARIOS) >= 10

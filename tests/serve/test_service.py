@@ -88,6 +88,43 @@ class TestServedRunIdentity:
         s = scenario()
         assert client.run(s) == run(s)
 
+    def test_concurrent_inline_runs_are_byte_identical_to_local(
+        self, daemon, client, monkeypatch
+    ):
+        # The default daemon runs jobs inline (sweep_jobs=1) on two runner
+        # threads.  A barrier inside the simulation holds each job until
+        # the other has started too, so the two really overlap in one
+        # process; each must still serve exactly the local document.
+        import threading
+
+        import repro.api as api
+
+        assert daemon.service.config.sweep_jobs == 1
+        pair = [scenario("roce", 2, seed_offset=7),
+                scenario("ethernet", 2, seed_offset=7)]
+        local = [json.dumps(run(s).to_document(), sort_keys=True) for s in pair]
+        barrier = threading.Barrier(2, timeout=30)
+        simulate = api.simulate
+
+        def overlapping(s):
+            barrier.wait()
+            return simulate(s)
+
+        monkeypatch.setattr(api, "simulate", overlapping)
+        served = [None, None]
+
+        def fetch(i):
+            served[i] = json.dumps(
+                client.run_document(pair[i]), sort_keys=True
+            )
+
+        threads = [threading.Thread(target=fetch, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert served == local
+
     def test_bare_canonical_payload_accepted_on_run(self, client):
         # POST /v1/run also takes a bare Scenario.canonical() mapping —
         # the curl-friendly spelling of the same request

@@ -7,8 +7,11 @@ broken invariant and the offending event — that is the safety net the
 "refactor freely" mandate rests on.
 """
 
+import dataclasses
+
 import pytest
 
+from repro.api import build, simulate
 from repro.collectives.executor import CollectiveExecutor
 from repro.errors import InvariantViolation
 from repro.network.costmodel import CollectiveCostModel
@@ -19,10 +22,16 @@ from repro.validate import ValidationHooks
 from repro.validate.replay import trace_digest
 
 
+def checked_run(scenario):
+    """Simulate ``scenario`` with the sanitizer armed."""
+    return simulate(dataclasses.replace(scenario, validate=True))
+
+
 class TestCleanRunPasses:
-    def test_no_violations_and_counters_published(self, tiny_spec):
-        hooks = ValidationHooks()
-        result = tiny_spec.run(validation=hooks)
+    def test_no_violations_and_counters_published(self, tiny_scenario):
+        sim = build(dataclasses.replace(tiny_scenario, validate=True))
+        result = sim.run()
+        hooks = sim.validation
         assert hooks.total_violations == 0
         assert hooks.total_checks > 1000
         # byte conservation actually ran (the scenario has DP sync)
@@ -34,21 +43,22 @@ class TestCleanRunPasses:
         total = sum(snapshot["validation_checks_total"]["series"].values())
         assert total == hooks.total_checks
 
-    def test_faulted_run_passes(self, faulted_spec):
-        hooks = ValidationHooks()
-        faulted_spec.run(validation=hooks)
+    def test_faulted_run_passes(self, faulted_scenario):
+        sim = build(dataclasses.replace(faulted_scenario, validate=True))
+        sim.run()
+        hooks = sim.validation
         assert hooks.total_violations == 0
         assert hooks.finalized
 
-    def test_virtual_time_identical_with_and_without_hooks(self, tiny_spec):
-        plain = tiny_spec.run()
-        checked = tiny_spec.run(validation=ValidationHooks())
+    def test_virtual_time_identical_with_and_without_hooks(self, tiny_scenario):
+        plain = simulate(tiny_scenario)
+        checked = checked_run(tiny_scenario)
         assert checked.makespan == plain.makespan
         assert trace_digest(checked.trace) == trace_digest(plain.trace)
 
 
 class TestCorruptedCostModel:
-    def test_negative_step_occupancy_is_caught(self, tiny_spec, monkeypatch):
+    def test_negative_step_occupancy_is_caught(self, tiny_scenario, monkeypatch):
         """Acceptance criterion: a corrupted cost model raises a structured
         InvariantViolation at the event that consumed the bad price."""
         original = CollectiveCostModel.collective_step_occupancy
@@ -60,7 +70,7 @@ class TestCorruptedCostModel:
             CollectiveCostModel, "collective_step_occupancy", corrupted
         )
         with pytest.raises(InvariantViolation) as exc_info:
-            tiny_spec.run(validation=ValidationHooks())
+            checked_run(tiny_scenario)
         violation = exc_info.value
         assert violation.invariant == "causality.duration_sane"
         assert violation.context["seconds"] < 0
@@ -70,7 +80,7 @@ class TestCorruptedCostModel:
         )
         assert "src" in violation.context and "dst" in violation.context
 
-    def test_corruption_unnoticed_without_hooks(self, tiny_spec, monkeypatch):
+    def test_corruption_unnoticed_without_hooks(self, tiny_scenario, monkeypatch):
         """Sanity: without the sanitizer the same corruption slips through
         (the engine itself rejects only *scheduling* into the past)."""
         monkeypatch.setattr(
@@ -78,22 +88,22 @@ class TestCorruptedCostModel:
             "collective_step_occupancy",
             lambda self, nbytes, edge, messages=1: 0.0,
         )
-        tiny_spec.run()  # must not raise
+        simulate(tiny_scenario)  # must not raise
 
-    def test_nonfinite_p2p_occupancy_is_caught(self, tiny_spec, monkeypatch):
+    def test_nonfinite_p2p_occupancy_is_caught(self, tiny_scenario, monkeypatch):
         monkeypatch.setattr(
             CollectiveCostModel,
             "p2p_nic_occupancy",
             lambda self, *args, **kwargs: float("nan"),
         )
         with pytest.raises(InvariantViolation) as exc_info:
-            tiny_spec.run(validation=ValidationHooks())
+            checked_run(tiny_scenario)
         assert exc_info.value.invariant == "causality.duration_sane"
         assert exc_info.value.context["what"] == "p2p_occupancy"
 
 
 class TestByteConservation:
-    def test_tampered_executor_chunks_are_caught(self, tiny_spec, monkeypatch):
+    def test_tampered_executor_chunks_are_caught(self, tiny_scenario, monkeypatch):
         """An executor that sends half-sized ring chunks breaks the
         telescoped closed form and must be flagged per member."""
         original = CollectiveExecutor._ring_phase
@@ -103,7 +113,7 @@ class TestByteConservation:
 
         monkeypatch.setattr(CollectiveExecutor, "_ring_phase", tampered)
         with pytest.raises(InvariantViolation) as exc_info:
-            tiny_spec.run(validation=ValidationHooks())
+            checked_run(tiny_scenario)
         violation = exc_info.value
         assert violation.invariant == "collective.byte_conservation"
         assert violation.context["sent"] < violation.context["expected"]

@@ -17,15 +17,15 @@ from repro.validate.metamorphic import (
 from repro.validate.scenarios import sample_scenarios
 
 SMOKE_N = 4
-SMOKE_SPECS = sample_scenarios(SMOKE_N, seed=0)
+SMOKE_SCENARIOS = sample_scenarios(SMOKE_N, seed=0)
 
 pytestmark = pytest.mark.property
 
 
 @pytest.mark.parametrize("relation", sorted(RELATIONS))
-@pytest.mark.parametrize("spec", SMOKE_SPECS, ids=lambda s: s.name)
-def test_relation_holds(relation, spec):
-    result = check_relation(relation, spec)
+@pytest.mark.parametrize("scenario", SMOKE_SCENARIOS, ids=lambda s: s.label)
+def test_relation_holds(relation, scenario):
+    result = check_relation(relation, scenario)
     assert result.passed, (result.error, result.details)
 
 
@@ -54,7 +54,7 @@ def test_run_validation_covers_all_pairs():
 
 def test_unknown_relation_rejected():
     with pytest.raises(KeyError):
-        check_relation("no_such_relation", SMOKE_SPECS[0])
+        check_relation("no_such_relation", SMOKE_SCENARIOS[0])
 
 
 @pytest.mark.slow
